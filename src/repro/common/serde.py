@@ -22,6 +22,7 @@ _I64 = struct.Struct(">q")
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
+_I64_F64 = struct.Struct(">Qd")  # a biased INT64 then a FLOAT64
 
 #: Bias added to signed 64-bit keys so the big-endian byte order of the
 #: encoding matches numeric order (needed for B-tree key comparisons).
@@ -38,7 +39,12 @@ class Serde:
         raise NotImplementedError
 
     def sizeof(self, value):
-        """Serialized size in bytes (used by memory accounting)."""
+        """Serialized size in bytes, exactly ``len(self.dumps(value))``.
+
+        Used by memory and byte accounting. Composite codecs compute it
+        from their fields without encoding; this fallback is left to
+        leaf codecs whose width is only known once encoded (strings).
+        """
         return len(self.dumps(value))
 
 
@@ -151,7 +157,7 @@ class OptionalSerde(Serde):
     def sizeof(self, value):
         if self._pad is not None:
             return 1 + self._pad
-        return len(self.dumps(value))
+        return 1 if value is None else 1 + self.inner.sizeof(value)
 
 
 class TupleSerde(Serde):
@@ -159,12 +165,31 @@ class TupleSerde(Serde):
 
     def __init__(self, *field_serdes):
         self.field_serdes = field_serdes
+        sizes = [getattr(field, "fixed_size", None) for field in field_serdes]
+        # sizeof adds only the variable-width fields to the framing and
+        # fixed widths. The total is not exposed as ``fixed_size``: that
+        # would make an enclosing OptionalSerde pad NULLs, changing bytes.
+        self._framed_size = 4 * len(sizes) + sum(size or 0 for size in sizes)
+        self._variable = [
+            (index, field) for index, (field, size) in enumerate(zip(field_serdes, sizes))
+            if size is None
+        ]
 
-    def dumps(self, value):
+    def _check_arity(self, value):
         if len(value) != len(self.field_serdes):
             raise ValueError(
                 "expected %d fields, got %d" % (len(self.field_serdes), len(value))
             )
+
+    def sizeof(self, value):
+        self._check_arity(value)
+        if not self._variable:
+            return self._framed_size
+        variable = sum(field.sizeof(value[index]) for index, field in self._variable)
+        return self._framed_size + variable
+
+    def dumps(self, value):
+        self._check_arity(value)
         parts = []
         for serde, field in zip(self.field_serdes, value):
             encoded = serde.dumps(field)
@@ -190,14 +215,25 @@ class PackedListSerde(Serde):
     Skips the per-element length prefixes of :class:`ListSerde`: the
     layout is a 4-byte count followed by ``count * element_size`` bytes.
     This matters for vertex rows, where the edge list dominates the
-    serialized footprint.
+    serialized footprint. ``(INT64, FLOAT64)`` pairs, every algorithm's
+    edges, are coded in bulk by one precompiled struct with the same
+    bytes as the element-by-element path.
     """
 
     def __init__(self, element_serde, element_size):
         self.element_serde = element_serde
         self.element_size = int(element_size)
+        self._pair = None
+        if isinstance(element_serde, FixedPairSerde) and (
+            type(element_serde.first), type(element_serde.second)
+        ) == (Int64Serde, Float64Serde):
+            self._pair = _I64_F64
 
     def dumps(self, value):
+        if self._pair is not None:
+            pack = self._pair.pack
+            parts = [pack(vid + _SIGN_BIAS, weight) for vid, weight in value]
+            return _U32.pack(len(value)) + b"".join(parts)
         parts = [_U32.pack(len(value))]
         for element in value:
             encoded = self.element_serde.dumps(element)
@@ -213,12 +249,14 @@ class PackedListSerde(Serde):
         view = memoryview(data)
         (count,) = _U32.unpack_from(view, 0)
         size = self.element_size
-        elements = []
-        offset = 4
-        for _ in range(count):
-            elements.append(self.element_serde.loads(bytes(view[offset : offset + size])))
-            offset += size
-        return elements
+        body = view[4 : 4 + count * size]
+        if len(body) != count * size:
+            raise ValueError("packed list of %d elements is truncated" % count)
+        if self._pair is not None:
+            pairs = self._pair.iter_unpack(body)
+            return [(vid - _SIGN_BIAS, weight) for vid, weight in pairs]
+        loads = self.element_serde.loads
+        return [loads(bytes(body[i * size : (i + 1) * size])) for i in range(count)]
 
     def sizeof(self, value):
         return 4 + len(value) * self.element_size
@@ -276,6 +314,10 @@ class ListSerde(Serde):
             elements.append(self.element_serde.loads(bytes(view[offset : offset + length])))
             offset += length
         return elements
+
+    def sizeof(self, value):
+        element = self.element_serde
+        return 4 + sum(4 + element.sizeof(item) for item in value)
 
 
 class PairSerde(TupleSerde):

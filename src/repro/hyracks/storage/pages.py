@@ -49,6 +49,7 @@ class Page:
         "keys",
         "values",
         "next_page_no",
+        "nbytes",
         "dirty",
         "pin_count",
         "latch",
@@ -61,6 +62,9 @@ class Page:
         self.keys = []
         self.values = []
         self.next_page_no = -1
+        #: Exact size of this page's on-disk image, kept current by
+        #: every entry operation so :meth:`fits` is O(1).
+        self.nbytes = PAGE_OVERHEAD
         self.dirty = False
         self.pin_count = 0
         # Content latch for parallel execution: hold it while mutating
@@ -73,14 +77,6 @@ class Page:
     # ------------------------------------------------------------------
     # size accounting
     # ------------------------------------------------------------------
-    @property
-    def nbytes(self):
-        """Exact size of this page's on-disk image."""
-        total = PAGE_OVERHEAD
-        for key, value in zip(self.keys, self.values):
-            total += ENTRY_OVERHEAD - 4 + len(key) + len(value)
-        return total
-
     def fits(self, key, value):
         """Whether inserting ``(key, value)`` keeps the page within capacity."""
         return self.nbytes + ENTRY_OVERHEAD - 4 + len(key) + len(value) <= self.capacity
@@ -119,11 +115,13 @@ class Page:
         """Insert or replace; returns True if this was a replacement."""
         index = bisect.bisect_left(self.keys, key)
         if index < len(self.keys) and self.keys[index] == key:
+            self.nbytes += len(value) - len(self.values[index])
             self.values[index] = value
             self.dirty = True
             return True
         self.keys.insert(index, key)
         self.values.insert(index, value)
+        self.nbytes += ENTRY_OVERHEAD - 4 + len(key) + len(value)
         self.dirty = True
         return False
 
@@ -132,6 +130,7 @@ class Page:
         index = self.find(key)
         if index is None:
             return False
+        self.nbytes -= ENTRY_OVERHEAD - 4 + len(key) + len(self.values[index])
         del self.keys[index]
         del self.values[index]
         self.dirty = True
@@ -150,6 +149,10 @@ class Page:
         right.values = self.values[midpoint:]
         del self.keys[midpoint:]
         del self.values[midpoint:]
+        moved = sum(len(k) + len(v) for k, v in zip(right.keys, right.values))
+        moved += (ENTRY_OVERHEAD - 4) * len(right.keys)
+        right.nbytes = PAGE_OVERHEAD + moved
+        self.nbytes -= moved
         right.next_page_no = self.next_page_no
         self.next_page_no = right.page_id.page_no
         self.dirty = True
@@ -189,6 +192,7 @@ class Page:
             offset += key_len
             page.values.append(bytes(data[offset : offset + value_len]))
             offset += value_len
+        page.nbytes = offset
         return page
 
     def __repr__(self):

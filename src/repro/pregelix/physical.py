@@ -59,7 +59,7 @@ from repro.pregelix.operators import (
     MsgWriteOperator,
     VertexMutationOperator,
 )
-from repro.pregelix.types import GlobalState, encode_global_state
+from repro.pregelix.types import GlobalState, edge_list_serde, encode_global_state
 
 
 class PartitionMap:
@@ -317,17 +317,10 @@ class PlanGenerator:
 
     def _raw_vertex_serde(self):
         """Serde for loader tuples ``(vid, value, edges)``."""
-        edge_serde = self.job.edge_serde
-        edge_value_size = getattr(edge_serde, "fixed_size", None)
-        if edge_value_size is not None:
-            edges = serde.PackedListSerde(
-                serde.FixedPairSerde(serde.INT64, edge_serde, 8, edge_value_size),
-                8 + edge_value_size,
-            )
-        else:
-            edges = serde.ListSerde(serde.PairSerde(serde.INT64, edge_serde))
         return serde.TupleSerde(
-            serde.INT64, serde.OptionalSerde(self.job.value_serde), edges
+            serde.INT64,
+            serde.OptionalSerde(self.job.value_serde),
+            edge_list_serde(self.job.edge_serde),
         )
 
     def _pin(self, operator):

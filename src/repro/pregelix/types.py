@@ -27,22 +27,29 @@ class VertexRecord:
         return replace(self, edges=list(self.edges))
 
 
-def vertex_value_serde(value_serde, edge_serde):
-    """Serde for the stored portion of a vertex row: (halt, value, edges).
+def edge_list_serde(edge_serde):
+    """Serde for a vertex's ``[(target vid, edge value), ...]`` list.
 
-    The vid is the index key and is not repeated in the value bytes.
     Edge lists dominate vertex rows, so fixed-size edge values are packed
     without per-element framing (16 bytes per edge for float weights).
     """
     edge_value_size = getattr(edge_serde, "fixed_size", None)
-    if edge_value_size is not None:
-        edges = serde.PackedListSerde(
-            serde.FixedPairSerde(serde.INT64, edge_serde, 8, edge_value_size),
-            8 + edge_value_size,
-        )
-    else:
-        edges = serde.ListSerde(serde.PairSerde(serde.INT64, edge_serde))
-    return serde.TupleSerde(serde.BOOL, serde.OptionalSerde(value_serde), edges)
+    if edge_value_size is None:
+        return serde.ListSerde(serde.PairSerde(serde.INT64, edge_serde))
+    return serde.PackedListSerde(
+        serde.FixedPairSerde(serde.INT64, edge_serde, 8, edge_value_size),
+        8 + edge_value_size,
+    )
+
+
+def vertex_value_serde(value_serde, edge_serde):
+    """Serde for the stored portion of a vertex row: (halt, value, edges).
+
+    The vid is the index key and is not repeated in the value bytes.
+    """
+    return serde.TupleSerde(
+        serde.BOOL, serde.OptionalSerde(value_serde), edge_list_serde(edge_serde)
+    )
 
 
 def encode_vertex(codec, record):
