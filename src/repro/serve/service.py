@@ -28,7 +28,9 @@ overload shedding rejects submissions with a retryable 503 before they
 consume admission work.
 """
 
+import contextlib
 import hashlib
+import importlib
 import os
 import threading
 import time
@@ -494,6 +496,7 @@ class JobService:
                 summary["cancelled"] += 1
             else:
                 if started is not None:
+                    record.plan_signature = started.get("plan")
                     if started.get("batch"):
                         # A batched run's checkpoints hold wrapped
                         # multi-lane state, so a member interrupted
@@ -503,12 +506,10 @@ class JobService:
                         # This is the "never a half-batch" invariant:
                         # every member is individually terminal or
                         # individually re-queued.
-                        record.plan_signature = started.get("plan")
                         record.no_batch = True
                         summary["requeued"] += 1
                     else:
                         record.resume_run_id = started.get("run_id")
-                        record.plan_signature = started.get("plan")
                         summary["resumed"] += 1
                 else:
                     summary["requeued"] += 1
@@ -576,12 +577,8 @@ class JobService:
                 record.error_kind = error_kind
             record.mark(state)
         tenant = record.request.tenant
-        if state is JobState.SUCCEEDED:
-            self.telemetry.registry.counter("serve.succeeded", tenant=tenant).inc()
-        elif state is JobState.FAILED:
-            self.telemetry.registry.counter("serve.failed", tenant=tenant).inc()
-        else:
-            self.telemetry.registry.counter("serve.cancelled", tenant=tenant).inc()
+        # serve.succeeded / serve.failed / serve.cancelled
+        self.telemetry.registry.counter("serve." + state.value, tenant=tenant).inc()
         self._observe_latency(record, tenant)
         self._journal_finished(record, state, reason=reason)
         return True
@@ -759,11 +756,7 @@ class JobService:
                 return self._reject(request, rejection)
             with self._lock:
                 self.jobs[record.job_id] = record
-            self._finalize(record, JobState.SUCCEEDED)
-            self.telemetry.event(
-                "serve.complete", category="serve", job_id=record.job_id,
-                tenant=request.tenant, cache_hit=True,
-            )
+            self._complete(record)
             return record
 
         rejection = None
@@ -1150,86 +1143,53 @@ class JobService:
                 continue  # cancelled while queued but before removal
             record.mark_trace("dequeued")
             self._observe_queue_depth()
-            if self.batcher is not None:
-                members = self.batcher.form(record)
-                if members is not None:
-                    try:
-                        self._dispatch_batch(members)
-                    except ServiceCrashed:
-                        return
-                    continue
-            estimate = record.estimated_bytes
-            with self._capacity:
-                # Visible to drain() from the moment it left the queue.
-                self._running[record.job_id] = record
-                while not self._may_start(record):
-                    self._capacity.wait(timeout=0.5)
-                self._reserved_bytes += estimate
-                self._executing[record.job_id] = record
+            members = self.batcher.form(record) if self.batcher is not None else None
             try:
-                self._execute(record)
+                self._dispatch(members or [record])
             except ServiceCrashed:
                 return  # this worker thread died with the process
-            finally:
-                with self._capacity:
-                    self._reserved_bytes -= estimate
-                    del self._executing[record.job_id]
-                    del self._running[record.job_id]
-                    self._capacity.notify_all()
 
-    def _may_start(self, record):
-        """Dispatch gate: never over-commit memory or a tenant's run cap."""
-        if self._reserved_bytes == 0 and not self._executing:
-            return True  # a lone job may always run (it passed admission)
-        quota = self.admission.quota(record.request.tenant)
-        if self._tenant_running(record.request.tenant) >= quota.max_running:
-            return False
-        capacity = self.admission.aggregate_capacity()
-        free = min(self.admission.aggregate_free(), capacity - self._reserved_bytes)
-        return record.estimated_bytes <= free
+    def _dispatch(self, members):
+        """Gate + execute + release for one run unit of N members.
 
-    def _tenant_running(self, tenant):
-        return sum(
-            1 for record in self._executing.values()
-            if record.request.tenant == tenant
-        )
-
-    # ------------------------------------------------------------------
-    # batched execution (DESIGN.md §17)
-    # ------------------------------------------------------------------
-    def _dispatch_batch(self, members):
-        """Gate + execute + release for one formed batch.
-
-        The batch reserves its *merged* working-set estimate (one shared
-        dataset scan plus per-lane growth), occupies one execution slot,
-        and shows every member in ``_running``/``_executing`` so drain,
-        stats, and the watchdog keep seeing N independent jobs.
+        The unit reserves its merged working-set estimate (one shared
+        dataset scan plus per-lane growth; a lone member's own
+        estimate), occupies one worker, and shows every member in
+        ``_running``/``_executing`` so drain, stats, tenant quotas and
+        the watchdog keep seeing N independent jobs.
         """
-        estimate = self.batcher.merged_estimate(members)
-        for record in members:
-            record.mark_trace("dequeued")  # companions left the queue too
+        estimate = (
+            self.batcher.merged_estimate(members)
+            if len(members) > 1 else members[0].estimated_bytes
+        )
         with self._capacity:
             for record in members:
+                record.mark_trace("dequeued")  # companions left the queue too
+                # Visible to drain() from the moment it left the queue.
                 self._running[record.job_id] = record
-            while not self._may_start_batch(members, estimate):
+            while not self._may_start(members, estimate):
                 self._capacity.wait(timeout=0.5)
             self._reserved_bytes += estimate
             for record in members:
                 self._executing[record.job_id] = record
         try:
-            self._execute_batch(members)
+            if len(members) == 1:
+                self._execute(members[0])
+            else:
+                self._execute_batch(members)
         finally:
             with self._capacity:
                 self._reserved_bytes -= estimate
                 for record in members:
+                    # pop: a re-queued member may already be re-dispatched.
                     self._executing.pop(record.job_id, None)
                     self._running.pop(record.job_id, None)
                 self._capacity.notify_all()
 
-    def _may_start_batch(self, members, estimate):
-        """The dispatch gate for a whole batch (cf. :meth:`_may_start`)."""
+    def _may_start(self, members, estimate):
+        """Dispatch gate: never over-commit memory or a tenant's run cap."""
         if self._reserved_bytes == 0 and not self._executing:
-            return True
+            return True  # a lone unit may always run (it passed admission)
         for tenant in {record.request.tenant for record in members}:
             quota = self.admission.quota(tenant)
             if self._tenant_running(tenant) >= quota.max_running:
@@ -1238,301 +1198,162 @@ class JobService:
         free = min(self.admission.aggregate_free(), capacity - self._reserved_bytes)
         return estimate <= free
 
-    def _execute_batch(self, members):
-        """Run the members as one multi-query dataflow; fan results out.
-
-        Terminal outcomes are always *per member*: a mid-run cancel
-        retires only that lane, a deadline fails every still-live member
-        with ``timeout``, a crash leaves the journal's per-member
-        ``started(batch=True)`` records to drive individual recovery,
-        and any other shared failure re-queues the surviving members for
-        solo execution instead of failing N jobs for one engine fault.
-        """
-        leader = members[0]
-        now = time.monotonic()
-        for record in members:
-            record.attempts += 1
-            record.mark(JobState.RUNNING)
-            record.deadline_base = now
-        self.telemetry.event(
-            "serve.batch.start", category="serve", leader=leader.job_id,
-            size=len(members), members=[r.job_id for r in members],
-            algorithm=leader.request.algorithm,
-            deadline_seconds=leader.deadline_seconds,
+    def _tenant_running(self, tenant):
+        return sum(
+            1 for record in self._executing.values()
+            if record.request.tenant == tenant
         )
-        dataset = self.datasets[leader.request.dataset]
-        try:
-            self._run_batch(members, dataset)
-        except ServiceCrashed:
-            raise
-        except DeadlineExceeded as error:
-            for record in members:
-                if record.state.terminal:
-                    continue
-                with self._lock:
-                    self._deadline_exceeded += 1
-                self.telemetry.registry.counter(
-                    "serve.deadline_exceeded", tenant=record.request.tenant
-                ).inc()
-                self._finalize(record, JobState.FAILED, error=str(error),
-                               error_kind=ERROR_KIND_TIMEOUT)
-        except JobCancelled as error:
-            # Every lane retired mid-run; lanes cancelled at a boundary
-            # were finalized there — this sweeps any raced stragglers.
-            for record in members:
-                if not record.state.terminal:
-                    self._finalize(record, JobState.CANCELLED,
-                                   error=str(error), error_kind="cancelled",
-                                   reason=getattr(error, "reason", "user"))
-        except Exception as error:
-            kind = self._failure_kind(error)
-            self.telemetry.event(
-                "serve.batch.failure", category="serve",
-                leader=leader.job_id, kind=kind, error=str(error),
-            )
-            for record in members:
-                if not record.state.terminal:
-                    self.batcher.requeue(record)
-
-    def _run_batch(self, members, dataset):
-        leader = members[0]
-        request = leader.request
-        template = self._build_job(request, plan_signature=leader.plan_signature)
-        if (
-            self.journal is not None
-            and self.checkpoint_interval
-            and not getattr(template, "checkpoint_interval", 0)
-        ):
-            template.checkpoint_interval = self.checkpoint_interval
-        plan_signature = self._plan_signature(template)
-        import importlib
-
-        module_name, param_names = SERVABLE_ALGORITHMS[request.algorithm]
-        module = importlib.import_module(module_name)
-        param_sets = []
-        for record in members:
-            record.plan_signature = plan_signature
-            param_sets.append({
-                name: record.request.params[name]
-                for name in param_names
-                if name in record.request.params
-            })
-        program = MultiQueryProgram(module, param_sets, template_job=template)
-        run_id = "serve-batch-%s-x%d" % (leader.job_id, len(members))
-        for record in members:
-            record.run_id = run_id
-            record.trace_run_ids.add(run_id)
-            self._journal_started(record, run_id, batch=True)
-        self._crash_check("dispatch", job_id=leader.job_id, batch=len(members))
-        driver = PregelixDriver(self.cluster, self.dfs)
-        output_path = "/serve/jobs/%s/out" % leader.job_id
-        crashed = False
-        try:
-            outcome, lane_lines = program.run(
-                driver, dataset.path, output_path, run_id=run_id,
-                boundary_chain=self._batch_boundary_chain(members, program),
-            )
-            lane_steps = program.lane_supersteps(outcome)
-            job = program.job
-            for lane, record in enumerate(members):
-                if record.state.terminal:
-                    continue  # this lane was cancelled at a boundary
-                record.mark_trace("fanout_begin")
-                with self.telemetry.span(
-                    "lane:%d" % lane, category="serve", run_id=run_id,
-                    job_id=record.job_id,
-                ):
-                    doc = program.lane_document(
-                        lane, request.algorithm, outcome, lane_lines[lane],
-                        lane_supersteps=lane_steps[lane],
-                    )
-                    record.result = doc
-                    record.result_digest = result_digest(doc)
-                    record.cache_key = ResultCache.make_key(
-                        dataset.digest, record.request.algorithm,
-                        record.request.params_key(), plan_class(job),
-                    )
-                    self._crash_check(
-                        "finishing", job_id=record.job_id, lane=lane
-                    )
-                    self._remember(record.request, dataset, job, doc)
-                    # End the fan-out phase before finalizing: _finalize
-                    # stamps "finished", and the synthetic fan-out span
-                    # must nest inside the run span, not straddle it.
-                    record.mark_trace("fanout_end")
-                    self._finalize(record, JobState.SUCCEEDED)
-                self.telemetry.event(
-                    "serve.batch.lane", category="serve",
-                    job_id=record.job_id, lane=lane, run_id=run_id,
-                    digest=record.result_digest, supersteps=lane_steps[lane],
-                )
-                self.telemetry.event(
-                    "serve.complete", category="serve", job_id=record.job_id,
-                    tenant=record.request.tenant, cache_hit=False,
-                    attempts=record.attempts, batched=True,
-                )
-        except ServiceCrashed:
-            crashed = True
-            raise
-        finally:
-            if not crashed:
-                self.dfs.delete("/serve/jobs/%s" % leader.job_id, recursive=True)
-
-    def _batch_boundary_chain(self, members, program):
-        """The per-superstep control point for a batched run.
-
-        Mirrors :meth:`_boundary_hook_for` but per lane: progress is
-        noted on every member (the watchdog sees N jobs advancing), a
-        member's cooperative cancel retires *its lane* at this boundary
-        (finalized CANCELLED immediately — the other lanes run on), and
-        the shared deadline budget (equal across members by batch
-        compatibility) fails the whole run when exceeded.
-        """
-        leader = members[0]
-        control = program.control
-
-        def chain(superstep):
-            for record in members:
-                record.note_boundary()
-            with self._lock:
-                crashed = self._state == "crashed"
-            if crashed:
-                raise ServiceCrashed("running")
-            self._crash_check(
-                "running", job_id=leader.job_id, superstep=superstep,
-                batch=len(members),
-            )
-            live = 0
-            for lane, record in enumerate(members):
-                if record.state.terminal:
-                    continue
-                reason = record.cancel_requested
-                if reason:
-                    control.cancel(lane)
-                    self._finalize(
-                        record, JobState.CANCELLED,
-                        error="job %s cancelled (%s) at batched superstep %d"
-                              % (record.job_id, reason, superstep),
-                        error_kind="cancelled", reason=reason,
-                    )
-                    self.telemetry.registry.counter(
-                        "serve.batch.lane_cancelled"
-                    ).inc()
-                    self.telemetry.event(
-                        "serve.batch.cancel_lane", category="serve",
-                        job_id=record.job_id, lane=lane, reason=reason,
-                        superstep=superstep,
-                    )
-                    continue
-                live += 1
-            if live == 0:
-                raise JobCancelled(
-                    "all %d batched lanes cancelled by superstep %d"
-                    % (len(members), superstep),
-                    reason="user",
-                )
-            budget = leader.deadline_seconds
-            if budget is not None and leader.deadline_base is not None:
-                elapsed = time.monotonic() - leader.deadline_base
-                if elapsed > budget:
-                    raise DeadlineExceeded(
-                        "batch %s exceeded its %.3fs deadline at superstep "
-                        "%d (%.3fs elapsed)"
-                        % (leader.job_id, budget, superstep, elapsed),
-                        budget_seconds=budget, elapsed_seconds=elapsed,
-                    )
-
-        return chain
 
     def _observe_queue_depth(self):
         self.telemetry.registry.gauge("serve.queue_depth").set(len(self.queue))
 
     # ------------------------------------------------------------------
-    # execution
+    # execution: one path over a run unit (DESIGN.md §17)
     # ------------------------------------------------------------------
     def _execute(self, record):
-        request = record.request
-        record.mark(JobState.RUNNING)
-        record.deadline_base = time.monotonic()
-        self.telemetry.event(
-            "serve.job_start", category="serve", job_id=record.job_id,
-            tenant=request.tenant, algorithm=request.algorithm,
-            deadline_seconds=record.deadline_seconds,
-        )
-        dataset = self.datasets[request.dataset]
-        last_error = None
-        for attempt in range(1, self.job_attempts + 1):
-            record.attempts = attempt
+        """Execute a solo job: a run unit of one."""
+        self._execute_unit([record])
+
+    def _execute_batch(self, members):
+        """Execute N>1 batched point queries as one run unit."""
+        self._execute_unit(members)
+
+    def _execute_unit(self, members):
+        """Drive a run unit until every member is terminal or re-queued.
+
+        Every unit size shares the run body (:meth:`_run_unit`), the
+        boundary hook, finalize, and the deadline and cancel handlers.
+        Only the policy for a failed run depends on the size, on purpose:
+
+        * N=1 retries transients and takes stuck strikes (one free
+          retry, then FAILED ``stuck`` and quarantine), and resumes from
+          a journaled checkpoint.
+        * N>1 never retries and never resumes: on any failure of the
+          shared run — a stuck flag on any live member included — its
+          live members re-queue to run solo (``no_batch``), where the
+          N=1 rules decide.
+        * Spans of an N>1 run carry its run id but no ``job_id``: that
+          engine work is every member's, and ``jobtrace`` selects it by
+          run id.
+        """
+        leader = members[0]
+        solo = len(members) == 1
+        now = time.monotonic()
+        for record in members:
+            record.mark(JobState.RUNNING)
+            # One clock per unit; the hook applies the leader's budget,
+            # which batch compatibility makes every member's budget.
+            record.deadline_base = now
+            self.telemetry.event(
+                "serve.job_start", category="serve", job_id=record.job_id,
+                tenant=record.request.tenant,
+                algorithm=record.request.algorithm,
+                deadline_seconds=record.deadline_seconds,
+                leader=leader.job_id, size=len(members),
+            )
+        dataset = self.datasets[leader.request.dataset]
+        for attempt in range(1, (self.job_attempts if solo else 1) + 1):
+            for record in members:
+                record.attempts = attempt
             try:
-                self._run_once(record, dataset)
+                if solo:
+                    self._run_once(leader, dataset)
+                else:
+                    self._run_batch(members, dataset)
             except ServiceCrashed:
                 # The "process" died mid-run: no terminal mark, no WAL
                 # record — exactly the amnesia a real crash leaves.
-                # The checkpoints and the journal's `started` record
-                # survive for the restarted service to resume from.
+                # The checkpoints and the journal's `started` records
+                # survive for the restarted service to pick up.
                 raise
             except DeadlineExceeded as error:
-                with self._lock:
-                    self._deadline_exceeded += 1
-                self.telemetry.event(
-                    "serve.deadline.exceeded", category="serve",
-                    job_id=record.job_id, tenant=request.tenant,
-                    budget_seconds=record.deadline_seconds,
-                    elapsed_seconds=error.elapsed_seconds,
-                )
-                self.telemetry.registry.counter(
-                    "serve.deadline_exceeded", tenant=request.tenant
-                ).inc()
-                self._finalize(record, JobState.FAILED, error=str(error),
-                               error_kind=ERROR_KIND_TIMEOUT)
+                self._on_deadline(members, error)
                 return
             except JobCancelled as error:
-                if getattr(error, "reason", "user") == "stuck":
-                    strikes = self._strike(record, error)
-                    if strikes < 2 and attempt < self.job_attempts:
-                        # One free retry: a wedged superstep may have
-                        # been bad luck (overloaded machine, noisy I/O),
-                        # not a property of the job.
-                        record.cancel_requested = None
-                        self.telemetry.event(
-                            "serve.retry", category="serve",
-                            job_id=record.job_id, attempt=attempt,
-                            kind="stuck",
-                        )
-                        continue
-                    self._finalize(record, JobState.FAILED,
-                                   error=str(error), error_kind="stuck")
+                if error.reason != "stuck":
+                    self._on_cancel(members, error)
                     return
-                self._finalize(record, JobState.CANCELLED, error=str(error),
-                               error_kind="cancelled",
-                               reason=getattr(error, "reason", "user"))
-                return
+                if not self._on_failure(members, error, "stuck", attempt):
+                    return
             except Exception as error:  # one job's failure never kills the service
-                last_error = error
                 kind = self._failure_kind(error)
-                record.error = str(error)
-                record.error_kind = kind
-                self.telemetry.event(
-                    "serve.job_failure", category="serve", job_id=record.job_id,
-                    tenant=request.tenant, kind=kind, attempt=attempt,
-                    error=str(error),
-                )
-                if kind != "transient" or attempt >= self.job_attempts:
-                    break
-                self.telemetry.event(
-                    "serve.retry", category="serve", job_id=record.job_id,
-                    attempt=attempt,
-                )
+                if not self._on_failure(members, error, kind, attempt):
+                    return
+            else:
+                for record in members:
+                    self._complete(record)
+                return
+
+    def _on_failure(self, members, error, kind, attempt):
+        """The per-size policy for a failed run; ``True`` runs it again."""
+        live = [record for record in members if not record.state.terminal]
+        for record in live:
+            self.telemetry.event(
+                "serve.job_failure", category="serve", job_id=record.job_id,
+                tenant=record.request.tenant, kind=kind, attempt=attempt,
+                error=str(error),
+            )
+        if len(members) > 1 or not live:
+            # A shared run never retries: each live member re-runs solo,
+            # where a stuck one takes its strikes.
+            for record in live:
+                if record.cancel_requested == "stuck":
+                    record.cancel_requested = None
+                self.batcher.requeue(record)
+            return False
+        record = members[0]
+        retry = attempt < self.job_attempts and kind in ("transient", "stuck")
+        if kind == "stuck":
+            # One free retry: a wedged superstep may have been bad luck
+            # (overloaded machine, noisy I/O), not a property of the job.
+            retry = self._strike(record, error) < 2 and retry
+        if not retry:
+            self._finalize(record, JobState.FAILED, error=str(error),
+                           error_kind=kind)
+            return False
+        if record.cancel_requested == "stuck":
+            record.cancel_requested = None
+        self.telemetry.event(
+            "serve.retry", category="serve", job_id=record.job_id,
+            attempt=attempt, kind=kind,
+        )
+        return True
+
+    def _on_deadline(self, members, error):
+        """Every live member fails with ``timeout``."""
+        for record in members:
+            if record.state.terminal:
                 continue
-            self._finalize(record, JobState.SUCCEEDED)
+            tenant = record.request.tenant
+            with self._lock:
+                self._deadline_exceeded += 1
+            self.telemetry.event(
+                "serve.deadline.exceeded", category="serve",
+                job_id=record.job_id, tenant=tenant,
+                budget_seconds=record.deadline_seconds,
+                elapsed_seconds=error.elapsed_seconds,
+            )
+            self.telemetry.registry.counter(
+                "serve.deadline_exceeded", tenant=tenant
+            ).inc()
+            self._finalize(record, JobState.FAILED, error=str(error),
+                           error_kind=ERROR_KIND_TIMEOUT)
+
+    def _on_cancel(self, members, error):
+        """Every live member ends CANCELLED (lanes retired at a boundary
+        were finalized there)."""
+        for record in members:
+            if not record.state.terminal:
+                self._finalize(record, JobState.CANCELLED, error=str(error),
+                               error_kind="cancelled", reason=error.reason)
+
+    def _complete(self, record):
+        if self._finalize(record, JobState.SUCCEEDED):
             self.telemetry.event(
                 "serve.complete", category="serve", job_id=record.job_id,
-                tenant=request.tenant, cache_hit=False,
-                attempts=attempt,
+                tenant=record.request.tenant, cache_hit=record.cache_hit,
+                attempts=record.attempts, digest=record.result_digest,
             )
-            return
-        self._finalize(record, JobState.FAILED, error=str(last_error),
-                       error_kind=record.error_kind or "fatal")
 
     @staticmethod
     def _failure_kind(error):
@@ -1546,18 +1367,37 @@ class JobService:
         """
         if is_transient(error):
             return "transient"
-        cause = failure_cause(error)
-        if cause is not None:
+        if failure_cause(error) is not None:
             return "recoverable"
         return "fatal"
 
     def _run_once(self, record, dataset):
-        request = record.request
+        """One attempt of a solo job."""
+        self._run_unit([record], dataset)
+
+    def _run_batch(self, members, dataset):
+        """The one shared run of N>1 batched members."""
+        self._run_unit(members, dataset)
+
+    def _run_unit(self, members, dataset):
+        """The run body for a unit of N members; N>1 shares one dataflow.
+
+        Builds the leader's job under its pinned plan, journals every
+        member's ``started`` record, runs (wrapped in a
+        :class:`MultiQueryProgram` only when N>1, so a solo run makes
+        the plain driver call), then fans the outcome out per member:
+        document, digest, cache key, the ``finishing`` crash check, both
+        caches, SUCCEEDED. A dead process cleans nothing, so a crash
+        leaves the DFS scratch and checkpoints in place.
+        """
+        leader = members[0]
+        request = leader.request
+        module = self._algorithm(request)[0]
         # A journaled plan signature (set on replay of an interrupted
         # run) pins the physical plan, so the resumed run lands in the
         # same bit-identity class as the original despite the restarted
         # process's empty plan cache.
-        job = self._build_job(request, plan_signature=record.plan_signature)
+        job = self._build_job(request, plan_signature=leader.plan_signature)
         if (
             self.journal is not None
             and self.checkpoint_interval
@@ -1565,97 +1405,128 @@ class JobService:
         ):
             # Resume needs checkpoints to land on.
             job.checkpoint_interval = self.checkpoint_interval
-        record.plan_signature = self._plan_signature(job)
-        resume_from = record.resume_run_id
-        run_id = resume_from or "serve-%s-a%d" % (record.job_id, record.attempts)
-        record.trace_run_ids.add(run_id)
-        self._journal_started(record, run_id)
-        self._crash_check("dispatch", job_id=record.job_id)
-        driver = PregelixDriver(self.cluster, self.dfs)
-        output_path = "/serve/jobs/%s/out" % record.job_id
-        module, _params = SERVABLE_ALGORITHMS[request.algorithm]
-        import importlib
-
-        algorithm_module = importlib.import_module(module)
-        hook = self._boundary_hook_for(record)
-        crashed = False
-        try:
+        plan_signature = self._plan_signature(job)
+        program = None
+        if len(members) > 1:
+            program = MultiQueryProgram(
+                module, [self._algorithm(r.request)[1] for r in members],
+                template_job=job,
+            )
+            job = program.job
+            hook = program.boundary_hook(
+                self._boundary_hook(members, program.control)
+            )
+            parse_line, format_record = program.parse_line, program.format_record
+            run_id = "serve-batch-%s-x%d" % (leader.job_id, len(members))
+            # The shared engine work belongs to every member: its spans
+            # carry only the run id the driver stamps.
+            job_context = contextlib.nullcontext()
+        else:
+            hook = self._boundary_hook(members)
+            parse_line = getattr(module, "parse_line", None)
+            format_record = getattr(module, "format_record", None)
+            run_id = leader.resume_run_id or "serve-%s-a%d" % (
+                leader.job_id, leader.attempts
+            )
             # Scoped tracer context: every span this run records — the
             # driver's phases and supersteps, the engine's job and task
             # spans, storage ops, even spans from pool worker threads —
             # is stamped with this job's id, which is what keeps the
             # shared session's trace separable per job.
             job_context = self.telemetry.tracer.context(
-                job_id=record.job_id, tenant=request.tenant
+                job_id=leader.job_id, tenant=request.tenant
             )
-            if resume_from:
-                with job_context:
-                    outcome = driver.resume(
-                        job,
-                        dataset.path,
-                        run_id=run_id,
-                        output_path=output_path,
-                        parse_line=getattr(algorithm_module, "parse_line", None),
-                        format_record=getattr(algorithm_module, "format_record", None),
-                        boundary_hook=hook,
+        for record in members:
+            record.plan_signature = plan_signature
+            record.run_id = run_id
+            record.trace_run_ids.add(run_id)
+            self._journal_started(record, run_id, batch=program is not None)
+        self._crash_check("dispatch", job_id=leader.job_id, batch=len(members))
+        driver = PregelixDriver(self.cluster, self.dfs)
+        output_path = "/serve/jobs/%s/out" % leader.job_id
+        crashed = False
+        try:
+            with job_context:
+                outcome = (driver.resume if leader.resume_run_id else driver.run)(
+                    job, dataset.path, output_path=output_path,
+                    parse_line=parse_line, format_record=format_record,
+                    run_id=run_id, boundary_hook=hook,
+                )
+            leader.resume_run_id = None
+            lines = driver.read_output(output_path)
+            if program is not None:
+                lane_lines = program.lane_results(lines)
+            for lane, record in enumerate(members):
+                if record.state.terminal:
+                    continue  # this lane was cancelled at a boundary
+                if program is None:
+                    span = contextlib.nullcontext()
+                    doc = result_document(request.algorithm, job, outcome,
+                                          results=lines)
+                else:
+                    record.mark_trace("fanout_begin")
+                    span = self.telemetry.span(
+                        "lane:%d" % lane, category="serve", run_id=run_id,
+                        job_id=record.job_id,
                     )
-                record.resume_run_id = None
-            else:
-                with job_context:
-                    outcome = driver.run(
-                        job,
-                        dataset.path,
-                        output_path=output_path,
-                        parse_line=getattr(algorithm_module, "parse_line", None),
-                        format_record=getattr(algorithm_module, "format_record", None),
-                        run_id=run_id,
-                        boundary_hook=hook,
+                    doc = program.lane_document(
+                        lane, request.algorithm, outcome, lane_lines[lane]
                     )
-            record.run_id = outcome.run_id
-            results = driver.read_output(output_path)
-            record.result = result_document(
-                request.algorithm, job, outcome, results=results
-            )
-            record.result_digest = result_digest(record.result)
-            record.cache_key = ResultCache.make_key(
-                dataset.digest, request.algorithm, request.params_key(),
-                plan_class(job),
-            )
-            self._crash_check("finishing", job_id=record.job_id)
-            self._remember(request, dataset, job, record.result)
+                with span:
+                    record.result = doc
+                    record.result_digest = result_digest(doc)
+                    record.cache_key = ResultCache.make_key(
+                        dataset.digest, record.request.algorithm,
+                        record.request.params_key(), plan_class(job),
+                    )
+                    self._crash_check("finishing", job_id=record.job_id, lane=lane)
+                    self._remember(record, dataset, job)
+                if program is not None:
+                    # End the fan-out phase before finalizing: _finalize
+                    # stamps "finished", and the synthetic fan-out span
+                    # must nest inside the run span, not straddle it.
+                    record.mark_trace("fanout_end")
+                self._complete(record)
         except ServiceCrashed:
             crashed = True
             raise
         finally:
-            # The job's DFS scratch is not needed once the document is
-            # built; the run's indexes/message files were cleaned by the
-            # driver already. A dead process, though, cleans nothing.
+            # The run's indexes/message files were cleaned by the driver
+            # already; the DFS scratch is not needed once the documents
+            # are built.
             if not crashed:
-                self.dfs.delete("/serve/jobs/%s" % record.job_id, recursive=True)
+                self.dfs.delete("/serve/jobs/%s" % leader.job_id, recursive=True)
 
-    def _journal_started(self, record, run_id, **extra):
+    def _journal_started(self, record, run_id, batch=False):
         """WAL the dispatch (run id + resolved plan). A failed append
         fails this attempt — running work the journal does not know
-        about would be invisible to a post-crash recovery. Batched
-        dispatches add ``batch=True`` so recovery re-queues interrupted
-        members for solo re-runs instead of resuming wrapped state."""
+        about would be invisible to a post-crash recovery. Members of a
+        shared run add ``batch=True`` so recovery re-queues them for
+        solo re-runs instead of resuming wrapped state."""
         if self.journal is None:
             return
+        extra = {"batch": True} if batch else {}
         self.journal.append(
             RECORD_STARTED, record.job_id, run_id=run_id,
             plan=record.plan_signature, attempt=record.attempts, **extra,
         )
 
-    def _boundary_hook_for(self, record):
+    def _boundary_hook(self, members, control=None):
         """The cooperative control point, run at every superstep boundary.
 
-        Order matters: progress first (the watchdog must see the
-        boundary), then crash simulation (no cleanup — checkpoints must
-        survive), then cancellation, then the deadline.
+        Order matters: progress on every member first (the watchdog must
+        see the boundary), then crash simulation (no cleanup —
+        checkpoints must survive), then cancellation, then the leader's
+        deadline. A user-cancelled member of a shared run retires its
+        lane through ``control`` while the other lanes run on; the last
+        live lane, a solo job, or a stuck flag on any live member stops
+        the whole run instead.
         """
+        leader = members[0]
 
         def hook(superstep):
-            record.note_boundary()
+            for record in members:
+                record.note_boundary()
             with self._lock:
                 crashed = self._state == "crashed"
             if crashed:
@@ -1663,44 +1534,59 @@ class JobService:
                 # running job stops at its next boundary, uncleaned.
                 raise ServiceCrashed("running")
             self._crash_check(
-                "running", job_id=record.job_id, superstep=superstep,
+                "running", job_id=leader.job_id, superstep=superstep,
+                batch=len(members),
             )
-            reason = record.cancel_requested
-            if reason:
+            live = [record for record in members if not record.state.terminal]
+            cancelled = [record for record in live if record.cancel_requested]
+            stuck = [r for r in cancelled if r.cancel_requested == "stuck"]
+            if stuck or (cancelled and len(cancelled) == len(live)):
+                record = (stuck or cancelled)[0]
                 raise JobCancelled(
                     "job %s cancelled (%s) at superstep %d"
-                    % (record.job_id, reason, superstep),
-                    reason=reason,
+                    % (record.job_id, record.cancel_requested, superstep),
+                    reason=record.cancel_requested,
                 )
-            budget = record.deadline_seconds
-            if budget is not None and record.deadline_base is not None:
-                elapsed = time.monotonic() - record.deadline_base
+            for record in cancelled:
+                control.cancel(members.index(record))
+                self._finalize(
+                    record, JobState.CANCELLED,
+                    error="job %s cancelled (%s) at batched superstep %d"
+                          % (record.job_id, record.cancel_requested, superstep),
+                    error_kind="cancelled", reason=record.cancel_requested,
+                )
+                self.telemetry.registry.counter("serve.batch.lane_cancelled").inc()
+            budget = leader.deadline_seconds
+            if budget is not None and leader.deadline_base is not None:
+                elapsed = time.monotonic() - leader.deadline_base
                 if elapsed > budget:
                     raise DeadlineExceeded(
                         "job %s exceeded its %.3fs deadline at superstep %d "
                         "(%.3fs elapsed)"
-                        % (record.job_id, budget, superstep, elapsed),
+                        % (leader.job_id, budget, superstep, elapsed),
                         budget_seconds=budget, elapsed_seconds=elapsed,
                     )
 
         return hook
 
-    def _build_job(self, request, plan_signature=None):
-        import importlib
-
+    def _algorithm(self, request):
+        """The request's algorithm module and validated ``build_job`` kwargs."""
         module_name, param_names = SERVABLE_ALGORITHMS[request.algorithm]
-        module = importlib.import_module(module_name)
-        kwargs = {
-            name: request.params[name]
-            for name in param_names
-            if name in request.params
-        }
         unknown = set(request.params) - set(param_names)
         if unknown:
             raise ReproError(
                 "algorithm %r takes no parameter(s) %s"
                 % (request.algorithm, ", ".join(sorted(unknown)))
             )
+        kwargs = {
+            name: request.params[name]
+            for name in param_names
+            if name in request.params
+        }
+        return importlib.import_module(module_name), kwargs
+
+    def _build_job(self, request, plan_signature=None):
+        module, kwargs = self._algorithm(request)
         job = module.build_job(**kwargs)
         if request.max_supersteps is not None:
             job.max_supersteps = int(request.max_supersteps)
@@ -1737,30 +1623,21 @@ class JobService:
     # ------------------------------------------------------------------
     # caching
     # ------------------------------------------------------------------
-    def _cache_key(self, request, dataset):
-        job = self._build_job(request)
-        return ResultCache.make_key(
-            dataset.digest, request.algorithm, request.params_key(),
-            plan_class(job),
-        )
-
     def _cached_result(self, request, dataset):
         if self.result_cache is None or not request.use_cache:
             return None
         if request.optimize:
             return None  # the optimizer may end on any plan class
         try:
-            key = self._cache_key(request, dataset)
+            job = self._build_job(request)
         except (ReproError, ValueError):
             return None  # invalid request; let admission produce the error
-        return self.result_cache.get(key)
-
-    def _remember(self, request, dataset, job, document):
-        self.plan_cache.remember(dataset.digest, request.algorithm, job)
-        if self.result_cache is None or not request.use_cache:
-            return
-        key = ResultCache.make_key(
+        return self.result_cache.get(ResultCache.make_key(
             dataset.digest, request.algorithm, request.params_key(),
             plan_class(job),
-        )
-        self.result_cache.put(key, document)
+        ))
+
+    def _remember(self, record, dataset, job):
+        self.plan_cache.remember(dataset.digest, record.request.algorithm, job)
+        if self.result_cache is not None and record.request.use_cache:
+            self.result_cache.put(record.cache_key, record.result)

@@ -196,3 +196,88 @@ class TestFlagStuck:
         record.mark(JobState.SUCCEEDED)
         assert service.flag_stuck(record, 5.0, 1.0) is False
         assert record.cancel_requested is None
+
+
+# ----------------------------------------------------------------------
+# a stuck flag inside a batched run unit
+# ----------------------------------------------------------------------
+SOURCES = (0, 3, 7)
+
+
+def sssp(source):
+    return {"tenant": "alice", "algorithm": "sssp", "dataset": "g",
+            "params": {"source_id": source}, "use_cache": False}
+
+
+@pytest.fixture(scope="module")
+def solo_digests(serve_graph):
+    svc = JobService(num_nodes=3, workers=1, watchdog=False)
+    svc.add_dataset("g", vertices=serve_graph)
+    svc.start()
+    try:
+        records = [svc.submit(sssp(source)) for source in SOURCES]
+        for record in records:
+            assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
+        return [record.result_digest for record in records]
+    finally:
+        svc.shutdown(timeout=WAIT)
+
+
+@pytest.fixture
+def batched_service(serve_graph):
+    svc = JobService(num_nodes=3, workers=1, watchdog=False,
+                     batch_max=8, batch_window=0.4)
+    svc.add_dataset("g", vertices=serve_graph)
+    svc.start()
+    yield svc
+    svc.shutdown(timeout=WAIT)
+
+
+def wedge_boundaries(service, batched_only):
+    """Flag a unit's last member stuck at each boundary, as the watchdog
+    would for a wedge; ``batched_only`` wedges just the shared run."""
+    original = service._boundary_hook
+
+    def hook_for(members, control=None):
+        hook = original(members, control)
+
+        def wedged(superstep):
+            if len(members) > 1 or not batched_only:
+                service.flag_stuck(members[-1], 5.0, 1.0)
+            hook(superstep)
+
+        return wedged
+
+    service._boundary_hook = hook_for
+
+
+class TestStuckBatchedMember:
+    def test_persistent_wedge_fails_and_quarantines_every_member(
+        self, batched_service
+    ):
+        service = batched_service
+        wedge_boundaries(service, batched_only=False)
+        records = [service.submit(sssp(source)) for source in SOURCES]
+        for record in records:
+            assert record.wait(WAIT) is JobState.FAILED
+            assert record.error_kind == "stuck"
+            assert record.attempts == 2  # its solo run took both strikes
+        stats = service.stats()
+        assert stats["batch"]["formed"] == 1
+        assert stats["batch"]["requeued"] == len(SOURCES)
+        for record in records:
+            assert stats["quarantine"][record.request.poison_key()]["strikes"] == 2
+
+    def test_one_off_wedge_reruns_members_solo_with_no_strike(
+        self, batched_service, solo_digests
+    ):
+        service = batched_service
+        wedge_boundaries(service, batched_only=True)
+        records = [service.submit(sssp(source)) for source in SOURCES]
+        for record, digest in zip(records, solo_digests):
+            assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
+            assert record.result_digest == digest
+            assert "batch" not in record.result
+        stats = service.stats()
+        assert stats["batch"]["requeued"] == len(SOURCES)
+        assert service._poison_strikes == {}
