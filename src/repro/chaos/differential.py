@@ -39,6 +39,13 @@ _JOIN_CODES = {"foj": JoinStrategy.FULL_OUTER, "loj": JoinStrategy.LEFT_OUTER}
 _GROUPBY_CODES = {"sort": GroupByStrategy.SORT, "hashsort": GroupByStrategy.HASHSORT}
 _CONNECTOR_CODES = {"unmerged": ConnectorPolicy.UNMERGED, "merged": ConnectorPolicy.MERGED}
 _STORAGE_CODES = {"btree": VertexStorage.BTREE, "lsm": VertexStorage.LSM_BTREE}
+#: CLI plan flag -> (job attribute, code table), one axis per flag.
+PLAN_FLAGS = {
+    "join": ("join_strategy", _JOIN_CODES),
+    "groupby": ("groupby_strategy", _GROUPBY_CODES),
+    "connector": ("connector_policy", _CONNECTOR_CODES),
+    "storage": ("vertex_storage", _STORAGE_CODES),
+}
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import argparse
 import os
 import sys
 
-from repro.pregelix import ConnectorPolicy, GroupByStrategy, JoinStrategy, VertexStorage
+from repro.bench.gates import SCENARIOS
 
 #: name -> (module path, job-builder kwargs drawn from CLI args)
 ALGORITHMS = {
@@ -354,37 +354,13 @@ def build_parser():
 
     bench = sub.add_parser(
         "bench",
-        help="sequential-vs-parallel perf regression (BENCH_parallel.json)",
+        help="a gated microbenchmark: parallel speedup, elastic handoff "
+             "cost or batched throughput (writes BENCH_<scenario>.json)",
     )
-    bench.add_argument("--out", default="BENCH_parallel.json",
-                       help="report path (JSON)")
-    bench.add_argument("--vertices", type=int, default=None,
-                       help="microbench graph size")
-    bench.add_argument("--iterations", type=int, default=None)
-    bench.add_argument("--nodes", type=int, default=None)
-    bench.add_argument("--parallel", action="append", type=int, default=None,
-                       metavar="N",
-                       help="worker count(s) to measure (repeatable; "
-                            "default: 2 and 4)")
-    bench.add_argument("--io-latency", type=float, default=None,
-                       metavar="SCALE", help="latency-realism scale")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="runs per configuration (best-of)")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="required speedup of the highest worker count "
-                            "over sequential (CI gate)")
-    bench.add_argument("--elastic", action="store_true",
-                       help="measure superstep-boundary rebalance overhead "
-                            "instead (static vs scale-up vs scale-down; "
-                            "writes BENCH_elastic.json)")
-    bench.add_argument("--max-overhead", type=float, default=None,
-                       help="elastic gate: rebalance cost cap as a multiple "
-                            "of one average superstep")
-    bench.add_argument("--batch", action="store_true",
-                       help="measure multi-query batching instead: 8 sssp "
-                            "point queries solo vs one shared run, with a "
-                            "per-lane bit-identity check (writes "
-                            "BENCH_batch.json)")
+    bench.add_argument("scenario", choices=list(SCENARIOS))
+    bench.add_argument("--out", default=None,
+                       help="report path (JSON; default "
+                            "BENCH_<scenario>.json)")
 
     sub.add_parser("loc", help="the Section 7.6 lines-of-code comparison")
     return parser
@@ -393,6 +369,33 @@ def build_parser():
 # ---------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------
+def _algorithm(name, args=None):
+    """Import algorithm ``name``; returns ``(module, job)``.
+
+    The job is built with the algorithm's ``ALGORITHMS`` kwargs read off
+    ``args``, or with its defaults when ``args`` is None.
+    """
+    import importlib
+
+    module_name, kwarg_names = ALGORITHMS[name]
+    module = importlib.import_module(module_name)
+    kwargs = (
+        {key: getattr(args, key) for key in kwarg_names}
+        if args is not None else {}
+    )
+    return module, module.build_job(**kwargs)
+
+
+def _apply_plan_flags(job, args):
+    """Override each plan axis whose flag (``--join`` ...) was given."""
+    from repro.chaos.differential import PLAN_FLAGS
+
+    for flag, (attribute, codes) in PLAN_FLAGS.items():
+        code = getattr(args, flag, None)
+        if code:
+            setattr(job, attribute, codes[code])
+
+
 def cmd_generate(args, out=print):
     from repro.graphs.generators import (
         btc_graph,
@@ -432,8 +435,6 @@ def cmd_generate(args, out=print):
 
 
 def cmd_run(args, out=print):
-    import importlib
-
     from repro.hdfs import MiniDFS
     from repro.hyracks.engine import HyracksCluster
     from repro.pregelix import PregelixDriver
@@ -453,31 +454,8 @@ def cmd_run(args, out=print):
             except ValueError:
                 out("error: --scale-at wants SUPERSTEP=N, got %r" % item)
                 return 2
-    module_name, kwarg_names = ALGORITHMS[args.algorithm]
-    module = importlib.import_module(module_name)
-    kwargs = {}
-    if "iterations" in kwarg_names:
-        kwargs["iterations"] = args.iterations
-    if "source_id" in kwarg_names:
-        kwargs["source_id"] = args.source_id
-    job = module.build_job(**kwargs)
-
-    if args.join:
-        job.join_strategy = (
-            JoinStrategy.LEFT_OUTER if args.join == "loj" else JoinStrategy.FULL_OUTER
-        )
-    if args.groupby:
-        job.groupby_strategy = (
-            GroupByStrategy.HASHSORT if args.groupby == "hashsort" else GroupByStrategy.SORT
-        )
-    if args.connector:
-        job.connector_policy = (
-            ConnectorPolicy.MERGED if args.connector == "merged" else ConnectorPolicy.UNMERGED
-        )
-    if args.storage:
-        job.vertex_storage = (
-            VertexStorage.LSM_BTREE if args.storage == "lsm" else VertexStorage.BTREE
-        )
+    module, job = _algorithm(args.algorithm, args)
+    _apply_plan_flags(job, args)
     if args.optimize:
         job.auto_optimize = True
     if args.checkpoint_interval:
@@ -580,7 +558,6 @@ def cmd_run(args, out=print):
 
 
 def cmd_pipeline(args, out=print):
-    import importlib
     import json as json_module
 
     from repro.hdfs import MiniDFS
@@ -594,14 +571,7 @@ def cmd_pipeline(args, out=print):
     parsers = {}
     formatters = {}
     for name in args.algorithms:
-        module_name, kwarg_names = ALGORITHMS[name]
-        module = importlib.import_module(module_name)
-        kwargs = {}
-        if "iterations" in kwarg_names:
-            kwargs["iterations"] = args.iterations
-        if "source_id" in kwarg_names:
-            kwargs["source_id"] = args.source_id
-        job = module.build_job(**kwargs)
+        module, job = _algorithm(name, args)
         jobs.append(job)
         parse_line = getattr(module, "parse_line", None)
         if parse_line is not None:
@@ -953,7 +923,6 @@ def _serve_smoke(args, out=print):
     direct :class:`~repro.pregelix.runtime.PregelixDriver` run of the
     same algorithm over the same graph.
     """
-    import importlib
     import json as json_module
     import urllib.error
     import urllib.request
@@ -980,10 +949,10 @@ def _serve_smoke(args, out=print):
     try:
         dfs = MiniDFS(datanodes=cluster.node_ids())
         write_graph_to_dfs(dfs, "/in/g", iter(vertices), num_files=3)
-        module = importlib.import_module(ALGORITHMS["cc"][0])
+        module, job = _algorithm("cc")
         driver = PregelixDriver(cluster, dfs)
         driver.run(
-            module.build_job(),
+            job,
             "/in/g",
             output_path="/out/r",
             parse_line=getattr(module, "parse_line", None),
@@ -1415,27 +1384,12 @@ def cmd_figures(args, out=print):
 
 
 def cmd_explain(args, out=print):
-    import importlib
-
     from repro.hdfs import MiniDFS
     from repro.pregelix.physical import PartitionMap, PlanGenerator
     from repro.pregelix.types import GlobalState
 
-    module_name, _kwargs = ALGORITHMS[args.algorithm]
-    module = importlib.import_module(module_name)
-    job = module.build_job()
-    if args.join:
-        job.join_strategy = (
-            JoinStrategy.LEFT_OUTER if args.join == "loj" else JoinStrategy.FULL_OUTER
-        )
-    if args.groupby:
-        job.groupby_strategy = (
-            GroupByStrategy.HASHSORT if args.groupby == "hashsort" else GroupByStrategy.SORT
-        )
-    if args.connector:
-        job.connector_policy = (
-            ConnectorPolicy.MERGED if args.connector == "merged" else ConnectorPolicy.UNMERGED
-        )
+    _module, job = _algorithm(args.algorithm)
+    _apply_plan_flags(job, args)
     nodes = ["node%d" % i for i in range(args.nodes)]
     dfs = MiniDFS(datanodes=nodes)
     dfs.write_text_lines("/explain-input/part-0", ["0 _ 1:1.0", "1 _"])
@@ -1620,81 +1574,12 @@ def cmd_checkpoints(args, out=print):
 
 
 def cmd_bench(args, out=print):
-    if args.elastic:
-        return _bench_elastic(args, out=out)
-    if args.batch:
-        return _bench_batch(args, out=out)
+    from repro.bench import gates
 
-    from repro.bench import regression
-
-    overrides = {}
-    if args.vertices is not None:
-        overrides["vertices"] = args.vertices
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.parallel is not None:
-        overrides["workers"] = tuple(args.parallel)
-    if args.io_latency is not None:
-        overrides["io_latency_scale"] = args.io_latency
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.min_speedup is not None:
-        overrides["min_speedup"] = args.min_speedup
-    report = regression.run_regression(**overrides)
-    regression.write_report(report, args.out)
-    for line in regression.summary_lines(report):
-        out(line)
-    out("report written to %s" % args.out)
-    return 0 if report["pass"] else 1
-
-
-def _bench_elastic(args, out=print):
-    from repro.bench import elastic
-
-    overrides = {}
-    if args.vertices is not None:
-        overrides["vertices"] = args.vertices
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.io_latency is not None:
-        overrides["io_latency_scale"] = args.io_latency
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.max_overhead is not None:
-        overrides["max_overhead"] = args.max_overhead
-    report = elastic.run_elastic(**overrides)
-    path = args.out if args.out != "BENCH_parallel.json" else "BENCH_elastic.json"
-    elastic.write_report(report, path)
-    for line in elastic.summary_lines(report):
-        out(line)
-    out("report written to %s" % path)
-    return 0 if report["pass"] else 1
-
-
-def _bench_batch(args, out=print):
-    from repro.bench import batch
-
-    overrides = {}
-    if args.vertices is not None:
-        overrides["vertices"] = args.vertices
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.parallel is not None:
-        overrides["workers"] = tuple(args.parallel)
-    if args.io_latency is not None:
-        overrides["io_latency_scale"] = args.io_latency
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.min_speedup is not None:
-        overrides["min_speedup"] = args.min_speedup
-    report = batch.run_batch_bench(**overrides)
-    path = args.out if args.out != "BENCH_parallel.json" else "BENCH_batch.json"
-    batch.write_report(report, path)
-    for line in batch.summary_lines(report):
+    report = gates.run(args.scenario)
+    path = args.out or "BENCH_%s.json" % args.scenario
+    gates.write_report(report, path)
+    for line in gates.summary_lines(report):
         out(line)
     out("report written to %s" % path)
     return 0 if report["pass"] else 1
